@@ -23,32 +23,73 @@ struct ObsLinearization
     bool valid = false;
 };
 
-ObsLinearization
-linearizeObs(const Pose &world_from_body, const Vec3 &x_world,
-             const Vec2 &z, const StereoRig &rig, double huber)
+/** Body-frame point, camera-frame point and residual of one observation. */
+struct ObsProjection
 {
-    ObsLinearization out;
-    const Mat3 r_bw = world_from_body.rotation.inverse().toRotationMatrix();
-    const Mat3 r_cb =
-        rig.body_from_camera.rotation.inverse().toRotationMatrix();
-    const Vec3 u = r_bw * (x_world - world_from_body.translation);
-    const Vec3 p_c = r_cb * (u - rig.body_from_camera.translation);
-    auto px = rig.cam.project(p_c);
+    Vec3 u;
+    Vec3 p_c;
+    Vec2 r;
+    bool valid = false;
+};
+
+/** Hoists the rotations of @p world_from_body out of per-observation work. */
+BaPoseFrame
+poseFrame(const Pose &world_from_body, const Mat3 &r_cb)
+{
+    BaPoseFrame f;
+    f.r_bw = world_from_body.rotation.inverse().toRotationMatrix();
+    f.r_cw = r_cb * f.r_bw;
+    f.neg_r_cw = f.r_cw * (-1.0);
+    f.t_wb = world_from_body.translation;
+    return f;
+}
+
+ObsProjection
+projectObs(const BaPoseFrame &f, const Mat3 &r_cb, const Vec3 &x_world,
+           const Vec2 &z, const StereoRig &rig)
+{
+    ObsProjection out;
+    out.u = f.r_bw * (x_world - f.t_wb);
+    out.p_c = r_cb * (out.u - rig.body_from_camera.translation);
+    auto px = rig.cam.project(out.p_c);
     if (!px)
         return out;
     out.r = Vec2{(*px)[0] - z[0], (*px)[1] - z[1]};
+    out.valid = true;
+    return out;
+}
+
+/** Huber cost of one observation; an unprojectable one pays huber^2. */
+double
+huberCost(const ObsProjection &p, double huber)
+{
+    if (!p.valid)
+        return huber * huber;
+    double rn = p.r.norm();
+    return (rn <= huber) ? 0.5 * rn * rn : huber * (rn - 0.5 * huber);
+}
+
+ObsLinearization
+linearizeObs(const BaPoseFrame &f, const Mat3 &r_cb, const Vec3 &x_world,
+             const Vec2 &z, const StereoRig &rig, double huber)
+{
+    ObsLinearization out;
+    const ObsProjection p = projectObs(f, r_cb, x_world, z, rig);
+    if (!p.valid)
+        return out;
+    out.r = p.r;
     double rn = out.r.norm();
     out.weight = (rn <= huber) ? 1.0 : huber / rn;
 
-    Mat23 jp = rig.cam.projectJacobian(p_c);
-    Mat23 j_theta = jp * (r_cb * skew(u));
-    Mat23 j_t = jp * (r_cb * r_bw * (-1.0));
+    Mat23 jp = rig.cam.projectJacobian(p.p_c);
+    Mat23 j_theta = jp * (r_cb * skew(p.u));
+    Mat23 j_t = jp * f.neg_r_cw;
     for (int i = 0; i < 2; ++i)
         for (int k = 0; k < 3; ++k) {
             out.j_pose(i, k) = j_theta(i, k);
             out.j_pose(i, k + 3) = j_t(i, k);
         }
-    out.j_lm = jp * (r_cb * r_bw);
+    out.j_lm = jp * f.r_cw;
     out.valid = true;
     return out;
 }
@@ -61,11 +102,43 @@ applyPoseDelta(const Pose &pose, const Vec3 &dtheta, const Vec3 &dt)
                 pose.translation + pose.rotation.rotate(dt));
 }
 
+// Workspace sizing: capacity grows to twice the demand, so a BA problem
+// that fluctuates around its steady-state size stops reallocating.
+
+template <class T>
+void
+fitVector(std::vector<T> &v, size_t n)
+{
+    if (n > v.capacity())
+        v.reserve(2 * n);
+    v.resize(n);
+}
+
+/** Resizes to @p n and zero-fills. */
+void
+fitZero(VecX &v, int n)
+{
+    if (static_cast<size_t>(n) * sizeof(double) > v.capacityBytes())
+        v.reserve(2 * n);
+    v.resize(n);
+}
+
+/** Resizes to @p r x @p c and zero-fills. */
+void
+fitZero(MatX &m, int r, int c)
+{
+    if (static_cast<size_t>(r) * c * sizeof(double) > m.capacityBytes())
+        m.reserve(r, 2 * c);
+    m.resize(r, c);
+}
+
 } // namespace
 
 Mapper::Mapper(const StereoRig &rig, const Vocabulary *vocabulary,
                const MappingConfig &cfg)
-    : rig_(rig), voc_(vocabulary), cfg_(cfg)
+    : rig_(rig),
+      r_cb_(rig.body_from_camera.rotation.inverse().toRotationMatrix()),
+      voc_(vocabulary), cfg_(cfg)
 {
 }
 
@@ -150,6 +223,15 @@ Mapper::insertKeyframe(const FrontendOutput &frame, const Pose &pose)
     return kf_id;
 }
 
+int
+Mapper::windowSlot(int kf_id) const
+{
+    for (size_t i = 0; i < window_.size(); ++i)
+        if (window_[i] == kf_id)
+            return static_cast<int>(i);
+    return -1;
+}
+
 void
 Mapper::localBundleAdjustment(MappingTiming &timing,
                               MappingWorkload &workload)
@@ -157,344 +239,360 @@ Mapper::localBundleAdjustment(MappingTiming &timing,
     StageTimer solver_timer(timing.solver_ms);
     if (window_.size() < 2)
         return;
+    LocalBaWorkspace &ws = ba_ws_;
+    const size_t capacity_before = ws.capacityBytes();
 
-    // Parameter bookkeeping: window poses (first fixed as gauge) and
-    // landmarks with enough window observations.
-    std::unordered_map<int, int> pose_index; // kf_id -> param slot
-    for (size_t i = 1; i < window_.size(); ++i)
-        pose_index[window_[i]] = static_cast<int>(i) - 1;
-    const int np = static_cast<int>(window_.size()) - 1;
-
-    std::unordered_set<int> window_set(window_.begin(), window_.end());
-    std::vector<int> lms;
-    std::unordered_map<int, int> lm_index;
+    // Parameter bookkeeping: window poses (slot 0 fixed as gauge) and
+    // landmarks with enough window observations, each followed by its
+    // window observations (so obs are grouped by landmark slot).
+    ws.seen.clear();
+    ws.lms.clear();
+    ws.lm_obs_begin.clear();
+    ws.obs.clear();
     for (int kf_id : window_) {
         for (int lm : map_.keyframes()[kf_id].map_point_ids) {
-            if (lm < 0 || lm_index.count(lm))
+            if (lm < 0 || !ws.seen.insert(lm).second)
                 continue;
+            const std::vector<LandmarkObs> &lm_obs = observations_[lm];
             int in_window = 0;
-            for (const LandmarkObs &o : observations_[lm])
-                if (window_set.count(o.keyframe_id))
+            for (const LandmarkObs &o : lm_obs)
+                if (windowSlot(o.keyframe_id) >= 0)
                     ++in_window;
-            if (in_window >= cfg_.min_obs_for_ba) {
-                lm_index[lm] = static_cast<int>(lms.size());
-                lms.push_back(lm);
+            if (in_window < cfg_.min_obs_for_ba)
+                continue;
+            const int l = static_cast<int>(ws.lms.size());
+            ws.lms.push_back(lm);
+            ws.lm_obs_begin.push_back(static_cast<int>(ws.obs.size()));
+            for (const LandmarkObs &o : lm_obs) {
+                const int slot = windowSlot(o.keyframe_id);
+                if (slot < 0)
+                    continue;
+                const KeyPoint &kp = map_.keyframes()[o.keyframe_id]
+                                         .keypoints[o.keypoint_index];
+                ws.obs.push_back({l, slot, Vec2{kp.x, kp.y}});
             }
         }
     }
-    const int nl = static_cast<int>(lms.size());
+    ws.lm_obs_begin.push_back(static_cast<int>(ws.obs.size()));
     workload.window_keyframes = static_cast<int>(window_.size());
-    workload.window_landmarks = nl;
-    if (np == 0 || nl == 0)
-        return;
+    workload.window_landmarks = static_cast<int>(ws.lms.size());
+    workload.residual_count = static_cast<int>(ws.obs.size());
+    if (!ws.lms.empty())
+        levenbergMarquardt(workload);
+    if (ws.capacityBytes() > capacity_before)
+        ++ba_alloc_events_;
+}
 
-    // Observation list restricted to the window.
-    struct BaObs
-    {
-        int lm_slot;
-        int pose_slot; //!< -1 for the fixed gauge pose
-        int kf_id;
-        Vec2 z;
-    };
-    std::vector<BaObs> obs;
-    for (int l = 0; l < nl; ++l) {
-        for (const LandmarkObs &o : observations_[lms[l]]) {
-            if (!window_set.count(o.keyframe_id))
-                continue;
-            const Keyframe &kf = map_.keyframes()[o.keyframe_id];
-            const KeyPoint &kp = kf.keypoints[o.keypoint_index];
-            int ps = pose_index.count(o.keyframe_id)
-                         ? pose_index[o.keyframe_id]
-                         : -1;
-            obs.push_back({l, ps, o.keyframe_id, Vec2{kp.x, kp.y}});
-        }
+void
+Mapper::levenbergMarquardt(MappingWorkload &workload)
+{
+    LocalBaWorkspace &ws = ba_ws_;
+    const int nw = static_cast<int>(window_.size());
+    const int nl = static_cast<int>(ws.lms.size());
+
+    // Working copies of parameters, plus the candidate-state buffers.
+    fitVector(ws.poses, nw);
+    fitVector(ws.frames, nw);
+    fitVector(ws.cand_poses, nw);
+    fitVector(ws.cand_frames, nw);
+    for (int i = 0; i < nw; ++i) {
+        ws.poses[i] = map_.keyframes()[window_[i]].pose;
+        ws.frames[i] = poseFrame(ws.poses[i], r_cb_);
     }
-    workload.residual_count = static_cast<int>(obs.size());
-
-    // Working copies of parameters.
-    std::vector<Pose> poses(window_.size());
-    for (size_t i = 0; i < window_.size(); ++i)
-        poses[i] = map_.keyframes()[window_[i]].pose;
-    std::vector<Vec3> points(nl);
+    fitVector(ws.points, nl);
+    fitVector(ws.cand_points, nl);
     for (int l = 0; l < nl; ++l)
-        points[l] = map_.points()[lms[l]].position;
+        ws.points[l] = map_.points()[ws.lms[l]].position;
+    fitVector(ws.hll_inv, nl);
+    fitVector(ws.dl, nl);
+    fitVector(ws.tbuf, nw - 1); // at most one W block per pose
 
-    auto poseOf = [&](int kf_id) -> const Pose & {
-        for (size_t i = 0; i < window_.size(); ++i)
-            if (window_[i] == kf_id)
-                return poses[i];
-        return poses[0];
-    };
-
-    auto evalCost = [&]() {
-        double cost = 0.0;
-        for (const BaObs &o : obs) {
-            ObsLinearization lin =
-                linearizeObs(poseOf(o.kf_id), points[o.lm_slot], o.z,
-                             rig_, cfg_.huber_px);
-            if (!lin.valid) {
-                cost += cfg_.huber_px * cfg_.huber_px;
-                continue;
-            }
-            double rn = lin.r.norm();
-            cost += (rn <= cfg_.huber_px)
-                        ? 0.5 * rn * rn
-                        : cfg_.huber_px * (rn - 0.5 * cfg_.huber_px);
-        }
-        return cost;
+    auto cost = [&](const std::vector<BaPoseFrame> &frames,
+                    const std::vector<Vec3> &points) {
+        double c = 0.0;
+        for (const LocalBaWorkspace::Obs &o : ws.obs)
+            c += huberCost(projectObs(frames[o.window_slot], r_cb_,
+                                      points[o.lm_slot], o.z, rig_),
+                           cfg_.huber_px);
+        return c;
     };
 
     double lambda = 1e-3;
-    double cost = evalCost();
-
-    // Block-sparse W storage of the optimized Schur path: each
-    // landmark keeps only the 6x3 coupling blocks of the poses that
-    // actually observe it (the dense Hpl of the reference path is
-    // almost entirely structural zeros).
-    struct WBlock
-    {
-        int pose_slot;
-        Mat<6, 3> w;
-    };
-    std::vector<std::vector<WBlock>> lm_blocks;
-    std::vector<Mat<6, 3>> tbuf;
-    if (!cfg_.use_reference)
-        lm_blocks.resize(nl);
-
+    double current_cost = cost(ws.frames, ws.points);
+    bool system_stale = true;
     for (int it = 0; it < cfg_.lm_iterations; ++it) {
-        // Build the normal equations in Schur form.
-        MatX hpp(6 * np, 6 * np);
-        MatX hpl;
-        if (cfg_.use_reference)
-            hpl = MatX(6 * np, 3 * nl);
-        else
-            for (auto &blocks : lm_blocks)
-                blocks.clear();
-        std::vector<Mat3> hll(nl);
-        VecX bp(6 * np), bl(3 * nl);
-
-        for (const BaObs &o : obs) {
-            ObsLinearization lin =
-                linearizeObs(poseOf(o.kf_id), points[o.lm_slot], o.z,
-                             rig_, cfg_.huber_px);
-            if (!lin.valid)
-                continue;
-            const double w = lin.weight;
-            // Landmark block.
-            Mat3 jtj_l = Mat3::zero();
-            Vec3 jtr_l = Vec3::zero();
-            for (int a = 0; a < 3; ++a) {
-                for (int b = 0; b < 3; ++b)
-                    jtj_l(a, b) = w * (lin.j_lm(0, a) * lin.j_lm(0, b) +
-                                       lin.j_lm(1, a) * lin.j_lm(1, b));
-                jtr_l[a] = w * (lin.j_lm(0, a) * lin.r[0] +
-                                lin.j_lm(1, a) * lin.r[1]);
-            }
-            hll[o.lm_slot] += jtj_l;
-            for (int a = 0; a < 3; ++a)
-                bl[3 * o.lm_slot + a] += jtr_l[a];
-
-            if (o.pose_slot >= 0) {
-                const int pc = 6 * o.pose_slot;
-                for (int a = 0; a < 6; ++a) {
-                    for (int b = 0; b < 6; ++b)
-                        hpp(pc + a, pc + b) +=
-                            w * (lin.j_pose(0, a) * lin.j_pose(0, b) +
-                                 lin.j_pose(1, a) * lin.j_pose(1, b));
-                    bp[pc + a] += w * (lin.j_pose(0, a) * lin.r[0] +
-                                       lin.j_pose(1, a) * lin.r[1]);
-                }
-                Mat<6, 3> wblk;
-                for (int a = 0; a < 6; ++a)
-                    for (int b = 0; b < 3; ++b)
-                        wblk(a, b) =
-                            w * (lin.j_pose(0, a) * lin.j_lm(0, b) +
-                                 lin.j_pose(1, a) * lin.j_lm(1, b));
-                if (cfg_.use_reference) {
-                    for (int a = 0; a < 6; ++a)
-                        for (int b = 0; b < 3; ++b)
-                            hpl(pc + a, 3 * o.lm_slot + b) += wblk(a, b);
-                } else {
-                    auto &blocks = lm_blocks[o.lm_slot];
-                    bool merged = false;
-                    for (WBlock &e : blocks) {
-                        if (e.pose_slot == o.pose_slot) {
-                            e.w += wblk;
-                            merged = true;
-                            break;
-                        }
-                    }
-                    if (!merged)
-                        blocks.push_back({o.pose_slot, wblk});
-                }
-            }
+        ++workload.ba_iterations;
+        // A rejected step leaves the state, and so the undamped normal
+        // equations, unchanged: only an accepted step forces a rebuild.
+        if (system_stale) {
+            buildBaSystem();
+            workload.ba_linearizations += workload.residual_count;
+            system_stale = false;
         }
-
-        // Marginalization prior on its keyframe (if still in window).
-        if (prior_kf_ && pose_index.count(*prior_kf_)) {
-            const int pc = 6 * pose_index[*prior_kf_];
-            for (int a = 0; a < 6; ++a) {
-                for (int b = 0; b < 6; ++b)
-                    hpp(pc + a, pc + b) += prior_h_(a, b);
-                bp[pc + a] += prior_b_[a];
-            }
-        }
-
-        // LM damping.
-        for (int i = 0; i < 6 * np; ++i)
-            hpp(i, i) *= (1.0 + lambda);
-        for (int l = 0; l < nl; ++l)
-            for (int a = 0; a < 3; ++a)
-                hll[l](a, a) *= (1.0 + lambda);
-
-        // Schur complement over landmarks:
-        // S = Hpp - Hpl Hll^-1 Hlp ; rhs = bp - Hpl Hll^-1 bl.
-        std::vector<Mat3> hll_inv(nl);
-        bool singular = false;
-        for (int l = 0; l < nl; ++l) {
-            Mat3 m = hll[l];
-            for (int a = 0; a < 3; ++a)
-                m(a, a) += 1e-9;
-            if (std::abs(det(m)) < 1e-24) {
-                singular = true;
-                break;
-            }
-            hll_inv[l] = inverse(m);
-        }
-        if (singular)
+        const BaStep step = solveBaStep(lambda);
+        if (step == BaStep::SingularLandmark)
             break;
-
-        MatX s = hpp;
-        VecX rhs = bp;
-        if (cfg_.use_reference) {
-            // Dense path (pre-overhaul): walk every row of Hpl per
-            // landmark, relying on zero-skips.
-            for (int l = 0; l < nl; ++l) {
-                for (int i = 0; i < 6 * np; ++i) {
-                    double w0 = hpl(i, 3 * l);
-                    double w1 = hpl(i, 3 * l + 1);
-                    double w2 = hpl(i, 3 * l + 2);
-                    if (w0 == 0.0 && w1 == 0.0 && w2 == 0.0)
-                        continue;
-                    double t0c = w0 * hll_inv[l](0, 0) +
-                                 w1 * hll_inv[l](1, 0) +
-                                 w2 * hll_inv[l](2, 0);
-                    double t1c = w0 * hll_inv[l](0, 1) +
-                                 w1 * hll_inv[l](1, 1) +
-                                 w2 * hll_inv[l](2, 1);
-                    double t2c = w0 * hll_inv[l](0, 2) +
-                                 w1 * hll_inv[l](1, 2) +
-                                 w2 * hll_inv[l](2, 2);
-                    rhs[i] -= t0c * bl[3 * l] + t1c * bl[3 * l + 1] +
-                              t2c * bl[3 * l + 2];
-                    for (int j = 0; j < 6 * np; ++j) {
-                        double v = t0c * hpl(j, 3 * l) +
-                                   t1c * hpl(j, 3 * l + 1) +
-                                   t2c * hpl(j, 3 * l + 2);
-                        if (v != 0.0)
-                            s(i, j) -= v;
-                    }
-                }
-            }
-            s.makeSymmetric();
-        } else {
-            // Block-sparse path: per landmark, only the observing pose
-            // pairs contribute — 6x6 dense blocks into the lower
-            // triangle, mirrored once at the end (the J·P·Jᵀ-style
-            // triangle-only contract of the backend overhaul).
-            for (int l = 0; l < nl; ++l) {
-                const auto &blocks = lm_blocks[l];
-                if (blocks.empty())
-                    continue;
-                const Mat3 &inv = hll_inv[l];
-                const Vec3 bl_l{bl[3 * l], bl[3 * l + 1],
-                                bl[3 * l + 2]};
-                tbuf.resize(blocks.size());
-                for (size_t e = 0; e < blocks.size(); ++e)
-                    tbuf[e] = blocks[e].w * inv;
-                for (size_t a = 0; a < blocks.size(); ++a) {
-                    const int pa = blocks[a].pose_slot;
-                    const Vec<6> rv = tbuf[a] * bl_l;
-                    for (int k = 0; k < 6; ++k)
-                        rhs[6 * pa + k] -= rv[k];
-                    for (size_t b = 0; b < blocks.size(); ++b) {
-                        const int pb = blocks[b].pose_slot;
-                        if (pa < pb)
-                            continue; // lower triangle only
-                        const Mat<3, 6> wbt = blocks[b].w.transpose();
-                        const Mat<6, 6> m = tbuf[a] * wbt;
-                        for (int x = 0; x < 6; ++x)
-                            for (int y = 0; y < 6; ++y)
-                                s(6 * pa + x, 6 * pb + y) -= m(x, y);
-                    }
-                }
-            }
-            s.mirrorLowerToUpper();
-        }
-
-        auto dp = solveSpd(s, rhs * -1.0);
-        if (!dp) {
+        if (step == BaStep::Unsolvable) {
             lambda *= 10.0;
             continue;
         }
 
-        // Back-substitute landmarks: dl = Hll^-1 (-bl - Hlp dp).
-        std::vector<Vec3> dl(nl);
-        for (int l = 0; l < nl; ++l) {
-            Vec3 acc{-bl[3 * l], -bl[3 * l + 1], -bl[3 * l + 2]};
-            if (cfg_.use_reference) {
-                for (int i = 0; i < 6 * np; ++i) {
-                    double d = (*dp)[i];
-                    if (d == 0.0)
-                        continue;
-                    acc[0] -= hpl(i, 3 * l) * d;
-                    acc[1] -= hpl(i, 3 * l + 1) * d;
-                    acc[2] -= hpl(i, 3 * l + 2) * d;
-                }
-            } else {
-                for (const WBlock &e : lm_blocks[l]) {
-                    Vec<6> dp_seg;
-                    for (int k = 0; k < 6; ++k)
-                        dp_seg[k] = (*dp)[6 * e.pose_slot + k];
-                    const Vec3 c = e.w.transpose() * dp_seg;
-                    acc -= c;
-                }
-            }
-            dl[l] = hll_inv[l] * acc;
-        }
-
         // Candidate state.
-        std::vector<Pose> cand_poses = poses;
-        std::vector<Vec3> cand_points = points;
-        for (size_t i = 1; i < window_.size(); ++i) {
-            int slot = static_cast<int>(i) - 1;
-            Vec3 dtheta{(*dp)[6 * slot], (*dp)[6 * slot + 1],
-                        (*dp)[6 * slot + 2]};
-            Vec3 dt{(*dp)[6 * slot + 3], (*dp)[6 * slot + 4],
-                    (*dp)[6 * slot + 5]};
-            cand_poses[i] = applyPoseDelta(poses[i], dtheta, dt);
+        ws.cand_poses[0] = ws.poses[0];
+        ws.cand_frames[0] = ws.frames[0];
+        for (int i = 1; i < nw; ++i) {
+            const int pc = 6 * (i - 1);
+            Vec3 dtheta{ws.dp[pc], ws.dp[pc + 1], ws.dp[pc + 2]};
+            Vec3 dt{ws.dp[pc + 3], ws.dp[pc + 4], ws.dp[pc + 5]};
+            ws.cand_poses[i] = applyPoseDelta(ws.poses[i], dtheta, dt);
+            ws.cand_frames[i] = poseFrame(ws.cand_poses[i], r_cb_);
         }
         for (int l = 0; l < nl; ++l)
-            cand_points[l] = points[l] + dl[l];
+            ws.cand_points[l] = ws.points[l] + ws.dl[l];
 
-        std::swap(poses, cand_poses);
-        std::swap(points, cand_points);
-        double new_cost = evalCost();
-        if (new_cost < cost) {
-            cost = new_cost;
+        double new_cost = cost(ws.cand_frames, ws.cand_points);
+        if (new_cost < current_cost) {
+            current_cost = new_cost;
             lambda = std::max(1e-9, lambda * 0.3);
+            std::swap(ws.poses, ws.cand_poses);
+            std::swap(ws.frames, ws.cand_frames);
+            std::swap(ws.points, ws.cand_points);
+            ++workload.ba_accepted_steps;
+            system_stale = true;
         } else {
-            std::swap(poses, cand_poses);
-            std::swap(points, cand_points);
             lambda *= 10.0;
         }
     }
 
     // Write back.
-    for (size_t i = 0; i < window_.size(); ++i)
-        map_.keyframes()[window_[i]].pose = poses[i];
+    for (int i = 0; i < nw; ++i)
+        map_.keyframes()[window_[i]].pose = ws.poses[i];
     for (int l = 0; l < nl; ++l)
-        map_.points()[lms[l]].position = points[l];
+        map_.points()[ws.lms[l]].position = ws.points[l];
+}
+
+void
+Mapper::buildBaSystem()
+{
+    LocalBaWorkspace &ws = ba_ws_;
+    const int np = static_cast<int>(window_.size()) - 1;
+    const int nl = static_cast<int>(ws.lms.size());
+    fitZero(ws.hpp, 6 * np, 6 * np);
+    fitZero(ws.bp, 6 * np);
+    fitZero(ws.bl, 3 * nl);
+    fitVector(ws.hll, nl);
+    std::fill(ws.hll.begin(), ws.hll.end(), Mat3::zero());
+    if (cfg_.use_reference) {
+        fitZero(ws.hpl, 6 * np, 3 * nl);
+    } else {
+        // Landmark l's blocks live at lm_obs_begin[l]: a landmark has
+        // at most one block per observation.
+        fitVector(ws.w, ws.obs.size());
+        fitVector(ws.w_count, nl);
+        std::fill(ws.w_count.begin(), ws.w_count.end(), 0);
+    }
+
+    for (const LocalBaWorkspace::Obs &o : ws.obs) {
+        ObsLinearization lin =
+            linearizeObs(ws.frames[o.window_slot], r_cb_,
+                         ws.points[o.lm_slot], o.z, rig_, cfg_.huber_px);
+        if (!lin.valid)
+            continue;
+        const double w = lin.weight;
+        // Landmark block.
+        Mat3 &hll = ws.hll[o.lm_slot];
+        for (int a = 0; a < 3; ++a) {
+            for (int b = 0; b < 3; ++b)
+                hll(a, b) += w * (lin.j_lm(0, a) * lin.j_lm(0, b) +
+                                  lin.j_lm(1, a) * lin.j_lm(1, b));
+            ws.bl[3 * o.lm_slot + a] += w * (lin.j_lm(0, a) * lin.r[0] +
+                                             lin.j_lm(1, a) * lin.r[1]);
+        }
+        if (o.window_slot == 0)
+            continue; // the gauge pose is fixed
+
+        const int pose_slot = o.window_slot - 1;
+        const int pc = 6 * pose_slot;
+        for (int a = 0; a < 6; ++a) {
+            for (int b = 0; b < 6; ++b)
+                ws.hpp(pc + a, pc + b) +=
+                    w * (lin.j_pose(0, a) * lin.j_pose(0, b) +
+                         lin.j_pose(1, a) * lin.j_pose(1, b));
+            ws.bp[pc + a] += w * (lin.j_pose(0, a) * lin.r[0] +
+                                  lin.j_pose(1, a) * lin.r[1]);
+        }
+        Mat<3, 6> wt;
+        for (int a = 0; a < 6; ++a)
+            for (int b = 0; b < 3; ++b)
+                wt(b, a) = w * (lin.j_pose(0, a) * lin.j_lm(0, b) +
+                                lin.j_pose(1, a) * lin.j_lm(1, b));
+        if (cfg_.use_reference) {
+            for (int a = 0; a < 6; ++a)
+                for (int b = 0; b < 3; ++b)
+                    ws.hpl(pc + a, 3 * o.lm_slot + b) += wt(b, a);
+        } else {
+            LocalBaWorkspace::WBlock *blocks =
+                ws.w.data() + ws.lm_obs_begin[o.lm_slot];
+            int &count = ws.w_count[o.lm_slot];
+            int e = 0;
+            while (e < count && blocks[e].pose_slot != pose_slot)
+                ++e;
+            if (e < count)
+                blocks[e].wt += wt;
+            else
+                blocks[count++] = {pose_slot, wt};
+        }
+    }
+
+    // Marginalization prior on its keyframe (if still in window).
+    const int prior_slot = prior_kf_ ? windowSlot(*prior_kf_) : -1;
+    if (prior_slot > 0) {
+        const int pc = 6 * (prior_slot - 1);
+        for (int a = 0; a < 6; ++a) {
+            for (int b = 0; b < 6; ++b)
+                ws.hpp(pc + a, pc + b) += prior_h_(a, b);
+            ws.bp[pc + a] += prior_b_[a];
+        }
+    }
+}
+
+Mapper::BaStep
+Mapper::solveBaStep(double lambda)
+{
+    LocalBaWorkspace &ws = ba_ws_;
+    const int np = static_cast<int>(window_.size()) - 1;
+    const int nl = static_cast<int>(ws.lms.size());
+
+    // LM damping, applied to copies of the cached undamped system.
+    ws.s = ws.hpp;
+    for (int i = 0; i < 6 * np; ++i)
+        ws.s(i, i) *= (1.0 + lambda);
+    for (int l = 0; l < nl; ++l) {
+        Mat3 m = ws.hll[l];
+        for (int a = 0; a < 3; ++a)
+            m(a, a) *= (1.0 + lambda);
+        for (int a = 0; a < 3; ++a)
+            m(a, a) += 1e-9;
+        if (std::abs(det(m)) < 1e-24)
+            return BaStep::SingularLandmark;
+        ws.hll_inv[l] = inverse(m);
+    }
+
+    // Schur complement over landmarks:
+    // S = Hpp - W Hll^-1 W^T ; rhs = bp - W Hll^-1 bl.
+    MatX &s = ws.s;
+    VecX &rhs = ws.rhs;
+    rhs = ws.bp;
+    if (cfg_.use_reference) {
+        // Dense path (pre-overhaul): walk every row of Hpl per
+        // landmark, relying on zero-skips.
+        const MatX &hpl = ws.hpl;
+        for (int l = 0; l < nl; ++l) {
+            const Mat3 &inv = ws.hll_inv[l];
+            for (int i = 0; i < 6 * np; ++i) {
+                double w0 = hpl(i, 3 * l);
+                double w1 = hpl(i, 3 * l + 1);
+                double w2 = hpl(i, 3 * l + 2);
+                if (w0 == 0.0 && w1 == 0.0 && w2 == 0.0)
+                    continue;
+                double t0c = w0 * inv(0, 0) + w1 * inv(1, 0) +
+                             w2 * inv(2, 0);
+                double t1c = w0 * inv(0, 1) + w1 * inv(1, 1) +
+                             w2 * inv(2, 1);
+                double t2c = w0 * inv(0, 2) + w1 * inv(1, 2) +
+                             w2 * inv(2, 2);
+                rhs[i] -= t0c * ws.bl[3 * l] + t1c * ws.bl[3 * l + 1] +
+                          t2c * ws.bl[3 * l + 2];
+                for (int j = 0; j < 6 * np; ++j) {
+                    double v = t0c * hpl(j, 3 * l) +
+                               t1c * hpl(j, 3 * l + 1) +
+                               t2c * hpl(j, 3 * l + 2);
+                    if (v != 0.0)
+                        s(i, j) -= v;
+                }
+            }
+        }
+        s.makeSymmetric();
+    } else {
+        // Block-sparse path: per landmark, only the observing pose
+        // pairs contribute — 6x6 dense blocks into the lower triangle,
+        // mirrored once at the end (the J·P·Jᵀ-style triangle-only
+        // contract of the backend overhaul).
+        for (int l = 0; l < nl; ++l) {
+            const int nb = ws.w_count[l];
+            const LocalBaWorkspace::WBlock *blocks =
+                ws.w.data() + ws.lm_obs_begin[l];
+            const Mat3 &inv = ws.hll_inv[l];
+            const Vec3 bl_l{ws.bl[3 * l], ws.bl[3 * l + 1],
+                            ws.bl[3 * l + 2]};
+            for (int e = 0; e < nb; ++e) {
+                const Mat<3, 6> &wt = blocks[e].wt;
+                Mat<6, 3> &t = ws.tbuf[e];
+                for (int x = 0; x < 6; ++x)
+                    for (int k = 0; k < 3; ++k)
+                        t(x, k) = wt(0, x) * inv(0, k) +
+                                  wt(1, x) * inv(1, k) +
+                                  wt(2, x) * inv(2, k);
+            }
+            for (int a = 0; a < nb; ++a) {
+                const int pa = blocks[a].pose_slot;
+                const Mat<6, 3> &ta = ws.tbuf[a];
+                const Vec<6> rv = ta * bl_l;
+                for (int k = 0; k < 6; ++k)
+                    rhs[6 * pa + k] -= rv[k];
+                for (int b = 0; b < nb; ++b) {
+                    const int pb = blocks[b].pose_slot;
+                    if (pa < pb)
+                        continue; // lower triangle only
+                    const Mat<3, 6> &wb = blocks[b].wt;
+                    for (int x = 0; x < 6; ++x) {
+                        double *row = &s(6 * pa + x, 6 * pb);
+                        const double t0 = ta(x, 0), t1 = ta(x, 1),
+                                     t2 = ta(x, 2);
+                        for (int y = 0; y < 6; ++y)
+                            row[y] -= t0 * wb(0, y) + t1 * wb(1, y) +
+                                      t2 * wb(2, y);
+                    }
+                }
+            }
+        }
+        s.mirrorLowerToUpper();
+    }
+
+    // Solve S dp = -rhs (Cholesky, LU fallback).
+    for (int i = 0; i < rhs.size(); ++i)
+        rhs[i] *= -1.0;
+    if (ws.chol.compute(s)) {
+        ws.dp = rhs;
+        ws.chol.solveInPlace(ws.dp);
+    } else if (ws.lu.compute(s)) {
+        ws.lu.solveInto(rhs, ws.dp);
+    } else {
+        return BaStep::Unsolvable;
+    }
+
+    // Back-substitute landmarks: dl = Hll^-1 (-bl - W^T dp).
+    for (int l = 0; l < nl; ++l) {
+        Vec3 acc{-ws.bl[3 * l], -ws.bl[3 * l + 1], -ws.bl[3 * l + 2]};
+        if (cfg_.use_reference) {
+            for (int i = 0; i < 6 * np; ++i) {
+                double d = ws.dp[i];
+                if (d == 0.0)
+                    continue;
+                acc[0] -= ws.hpl(i, 3 * l) * d;
+                acc[1] -= ws.hpl(i, 3 * l + 1) * d;
+                acc[2] -= ws.hpl(i, 3 * l + 2) * d;
+            }
+        } else {
+            const LocalBaWorkspace::WBlock *blocks =
+                ws.w.data() + ws.lm_obs_begin[l];
+            for (int e = 0; e < ws.w_count[l]; ++e)
+                acc -= blocks[e].wt *
+                       ws.dp.fixedSegment<6>(6 * blocks[e].pose_slot);
+        }
+        ws.dl[l] = ws.hll_inv[l] * acc;
+    }
+    return BaStep::Solved;
 }
 
 void
@@ -539,13 +637,14 @@ Mapper::computeMarginalization(MappingTiming &timing,
 
         auto accumulate = [&](int kf_id, bool old_pose) {
             const Keyframe &kf = map_.keyframes()[kf_id];
+            const BaPoseFrame frame = poseFrame(kf.pose, r_cb_);
             for (int lm : marg_lms) {
                 for (const LandmarkObs &o : observations_[lm]) {
                     if (o.keyframe_id != kf_id)
                         continue;
                     const KeyPoint &kp = kf.keypoints[o.keypoint_index];
                     ObsLinearization lin = linearizeObs(
-                        kf.pose, map_.points()[lm].position,
+                        frame, r_cb_, map_.points()[lm].position,
                         Vec2{kp.x, kp.y}, rig_, cfg_.huber_px);
                     if (!lin.valid)
                         continue;
@@ -657,13 +756,14 @@ Mapper::computeMarginalization(MappingTiming &timing,
 
         auto accumulate = [&](int kf_id, int pose_col) {
             const Keyframe &kf = map_.keyframes()[kf_id];
+            const BaPoseFrame frame = poseFrame(kf.pose, r_cb_);
             for (int lm : marg_lms) {
                 for (const LandmarkObs &o : observations_[lm]) {
                     if (o.keyframe_id != kf_id)
                         continue;
                     const KeyPoint &kp = kf.keypoints[o.keypoint_index];
                     ObsLinearization lin = linearizeObs(
-                        kf.pose, map_.points()[lm].position,
+                        frame, r_cb_, map_.points()[lm].position,
                         Vec2{kp.x, kp.y}, rig_, cfg_.huber_px);
                     if (!lin.valid)
                         continue;

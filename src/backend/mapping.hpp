@@ -30,6 +30,7 @@
 #include "backend/map.hpp"
 #include "backend/pose_opt.hpp"
 #include "backend/vocabulary.hpp"
+#include "backend/workspace.hpp"
 #include "frontend/frontend.hpp"
 #include "math/matx.hpp"
 #include "sensors/camera.hpp"
@@ -88,6 +89,13 @@ struct MappingWorkload
     int window_landmarks = 0;
     int residual_count = 0;
     int marginalized_landmarks = 0; //!< size of the diagonal A block /3
+
+    // Local-BA work done this frame. The normal equations are rebuilt
+    // only after an accepted step, so ba_linearizations ==
+    // residual_count * (1 + accepted steps before the last iteration).
+    int ba_iterations = 0;     //!< LM iterations run
+    int ba_accepted_steps = 0; //!< steps that lowered the cost
+    int ba_linearizations = 0; //!< observations linearized
 };
 
 /** Mapper output for one frame. */
@@ -165,6 +173,15 @@ class Mapper
     int loopClosures() const { return loop_closures_; }
 
     /**
+     * Number of local-BA calls that grew the BA workspace. Stops
+     * increasing once the window and landmark load are warm.
+     */
+    long baAllocationEvents() const { return ba_alloc_events_; }
+
+    /** Local-BA workspace capacity, bytes. */
+    size_t workspaceCapacityBytes() const { return ba_ws_.capacityBytes(); }
+
+    /**
      * Routes the marginalization solve through a cross-session
      * batching hub (bit-identical to the direct path; null = direct).
      */
@@ -198,9 +215,29 @@ class Mapper
     /** Associates + triangulates; returns the new keyframe id. */
     int insertKeyframe(const FrontendOutput &frame, const Pose &pose);
 
+    /** Window index of @p kf_id, or -1 when it is not in the window. */
+    int windowSlot(int kf_id) const;
+
     /** Local BA over the window; updates map poses/points in place. */
     void localBundleAdjustment(MappingTiming &timing,
                                MappingWorkload &workload);
+
+    /** The LM loop of the local BA over the problem in ba_ws_. */
+    void levenbergMarquardt(MappingWorkload &workload);
+
+    /**
+     * Linearizes every BA observation at the current LM state into the
+     * undamped normal equations (prior included) of ba_ws_.
+     */
+    void buildBaSystem();
+
+    enum class BaStep { Solved, SingularLandmark, Unsolvable };
+
+    /**
+     * Damps the cached system by @p lambda and solves it through the
+     * Schur complement into ba_ws_.dp / ba_ws_.dl.
+     */
+    BaStep solveBaStep(double lambda);
 
     /**
      * Computes the marginalization of the oldest window keyframe
@@ -235,9 +272,13 @@ class Mapper
     };
 
     StereoRig rig_;
+    Mat3 r_cb_; //!< camera <- body rotation of the rig
     const Vocabulary *voc_;
     MappingConfig cfg_;
     SolveHub *hub_ = nullptr;
+
+    LocalBaWorkspace ba_ws_;
+    long ba_alloc_events_ = 0;
 
     Map map_;
     std::vector<int> window_; //!< keyframe ids, oldest first

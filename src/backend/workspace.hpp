@@ -17,14 +17,20 @@
  *    counter stops moving once warm.
  *  - The decomposition objects (Cholesky / LU / QR) follow the same
  *    contract through their compute() storage reuse.
+ *
+ * LocalBaWorkspace is the SLAM mapper's counterpart for the local
+ * bundle adjustment, under the same ownership and accounting rules
+ * (Mapper::baAllocationEvents()).
  */
 #pragma once
 
+#include <unordered_set>
 #include <vector>
 
 #include "math/aligned_alloc.hpp"
 #include "math/decomp.hpp"
 #include "math/matx.hpp"
+#include "math/se3.hpp"
 
 namespace edx {
 
@@ -93,6 +99,96 @@ struct BackendWorkspace
                (h_f.capacity() + p_f.capacity() + hp_f.capacity() +
                 s_f.capacity() + kt_f.capacity() + t_f.capacity()) *
                    sizeof(float);
+    }
+};
+
+/**
+ * Rotations of one window pose in one BA state, computed once per pose
+ * instead of once per observation.
+ */
+struct BaPoseFrame
+{
+    Mat3 r_bw;     //!< body <- world
+    Mat3 r_cw;     //!< camera <- world (R_cb * R_bw)
+    Mat3 neg_r_cw; //!< -R_cw, the translation-Jacobian factor
+    Vec3 t_wb;     //!< body origin in the world frame
+};
+
+/**
+ * All reusable buffers of one Mapper's local bundle adjustment.
+ *
+ * The undamped normal equations (Hpp with the marginalization prior,
+ * Hll, the W coupling blocks, b) are a cache: they describe the
+ * current LM state and are rebuilt only after an accepted step, so a
+ * rejected step re-solves the same system under a larger damping.
+ * Problem-size buffers grow with headroom, so the window's frame to
+ * frame fluctuation stops reallocating once warm.
+ */
+struct LocalBaWorkspace
+{
+    /** One window observation of an optimized landmark. */
+    struct Obs
+    {
+        int lm_slot;
+        int window_slot; //!< index into the window; 0 is the gauge pose
+        Vec2 z;
+    };
+
+    /** Coupling block W^T (3x6) of one (landmark, window pose) pair. */
+    struct WBlock
+    {
+        int pose_slot;
+        Mat<3, 6> wt;
+    };
+
+    // --- problem bookkeeping -----------------------------------------
+    std::unordered_set<int> seen;  //!< landmark dedupe (not accounted)
+    std::vector<int> lms;          //!< map point id per landmark slot
+    std::vector<int> lm_obs_begin; //!< obs range per landmark, nl + 1
+    std::vector<Obs> obs;          //!< grouped by landmark slot
+
+    // --- LM state and candidate --------------------------------------
+    std::vector<Pose> poses, cand_poses;
+    std::vector<BaPoseFrame> frames, cand_frames;
+    std::vector<Vec3> points, cand_points;
+
+    // --- undamped normal equations (valid until an accepted step) ----
+    MatX hpp;
+    VecX bp, bl;
+    std::vector<Mat3> hll;
+    std::vector<WBlock> w;    //!< landmark l's blocks start at lm_obs_begin[l]
+    std::vector<int> w_count; //!< blocks per landmark
+    MatX hpl;                 //!< dense coupling (reference path only)
+
+    // --- damped Schur solve ------------------------------------------
+    std::vector<Mat3> hll_inv;
+    std::vector<Mat<6, 3>> tbuf; //!< W Hll^-1 of one landmark
+    MatX s;
+    VecX rhs, dp;
+    Cholesky chol;
+    PartialPivLU lu;
+    std::vector<Vec3> dl;
+
+    size_t
+    capacityBytes() const
+    {
+        return lms.capacity() * sizeof(int) +
+               lm_obs_begin.capacity() * sizeof(int) +
+               obs.capacity() * sizeof(Obs) +
+               (poses.capacity() + cand_poses.capacity()) * sizeof(Pose) +
+               (frames.capacity() + cand_frames.capacity()) *
+                   sizeof(BaPoseFrame) +
+               (points.capacity() + cand_points.capacity() +
+                dl.capacity()) *
+                   sizeof(Vec3) +
+               hpp.capacityBytes() + bp.capacityBytes() +
+               bl.capacityBytes() +
+               (hll.capacity() + hll_inv.capacity()) * sizeof(Mat3) +
+               w.capacity() * sizeof(WBlock) +
+               w_count.capacity() * sizeof(int) + hpl.capacityBytes() +
+               tbuf.capacity() * sizeof(Mat<6, 3>) + s.capacityBytes() +
+               rhs.capacityBytes() + dp.capacityBytes() +
+               chol.capacityBytes() + lu.capacityBytes();
     }
 };
 
