@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "features/fast_avx2.hpp"
+#include "math/cpu_features.hpp"
 #include "math/mat.hpp"
 
 namespace edx {
@@ -14,16 +16,18 @@ namespace {
  * the system is ill-conditioned.
  *
  * This one routine is the solver for both the workspace path and the
- * reference path — the two differ only in where the gradient images
- * and window buffers come from, so their tracks are bit-identical by
- * construction (and the gradient images themselves are golden-tested
- * against the scalar Scharr reference).
+ * reference path. With @p simd set, the two window loops run in the
+ * AVX2 twins (features/fast_avx2), which keep the per-sample operation
+ * order and the serial g / b / res sums of the scalar loops below, so
+ * the tracks are bit-identical on every tier. The reference path
+ * always passes false: it is the scalar oracle the tier is tested
+ * against.
  */
 bool
 trackAtLevel(const ImageU8 &prev, const Gradients &grad,
              const ImageU8 &next, double px, double py, double &nx,
              double &ny, const FlowConfig &cfg, FlowScratch &s,
-             double &residual_out)
+             double &residual_out, bool simd)
 {
     const int r = cfg.window_radius;
     if (!prev.containsWithBorder(px, py, r + 2))
@@ -40,32 +44,45 @@ trackAtLevel(const ImageU8 &prev, const Gradients &grad,
     const double w00 = (1 - fx) * (1 - fy), w10 = fx * (1 - fy);
     const double w01 = (1 - fx) * fy, w11 = fx * fy;
 
-    s.iv.resize(n);
-    s.ix.resize(n);
-    s.iy.resize(n);
+    s.iv.resize(n + FlowScratch::kPad);
+    s.ix.resize(n + FlowScratch::kPad);
+    s.iy.resize(n + FlowScratch::kPad);
     double *iv = s.iv.data(), *ix = s.ix.data(), *iy = s.iy.data();
 
     Mat2 g;
-    int idx = 0;
-    for (int dy = 0; dy <= 2 * r; ++dy) {
-        const uint8_t *p0 = prev.rowPtr(y0 + dy) + x0;
-        const uint8_t *p1 = prev.rowPtr(y0 + dy + 1) + x0;
-        const float *gx0 = grad.gx.rowPtr(y0 + dy) + x0;
-        const float *gx1 = grad.gx.rowPtr(y0 + dy + 1) + x0;
-        const float *gy0 = grad.gy.rowPtr(y0 + dy) + x0;
-        const float *gy1 = grad.gy.rowPtr(y0 + dy + 1) + x0;
-        for (int dx = 0; dx <= 2 * r; ++dx, ++idx) {
-            iv[idx] = w00 * p0[dx] + w10 * p0[dx + 1] + w01 * p1[dx] +
-                      w11 * p1[dx + 1];
-            const double gx = w00 * gx0[dx] + w10 * gx0[dx + 1] +
-                              w01 * gx1[dx] + w11 * gx1[dx + 1];
-            const double gy = w00 * gy0[dx] + w10 * gy0[dx + 1] +
-                              w01 * gy1[dx] + w11 * gy1[dx + 1];
-            ix[idx] = gx;
-            iy[idx] = gy;
-            g(0, 0) += gx * gx;
-            g(0, 1) += gx * gy;
-            g(1, 1) += gy * gy;
+    if (simd) {
+#if defined(EDX_HAVE_AVX2)
+        const double w[4] = {w00, w10, w01, w11};
+        double sums[3];
+        avx2::lkTemplate(prev.data(), grad.gx.data(), grad.gy.data(),
+                         prev.width(), x0, y0, 2 * r + 1, w, iv, ix, iy,
+                         sums);
+        g(0, 0) = sums[0];
+        g(0, 1) = sums[1];
+        g(1, 1) = sums[2];
+#endif
+    } else {
+        int idx = 0;
+        for (int dy = 0; dy <= 2 * r; ++dy) {
+            const uint8_t *p0 = prev.rowPtr(y0 + dy) + x0;
+            const uint8_t *p1 = prev.rowPtr(y0 + dy + 1) + x0;
+            const float *gx0 = grad.gx.rowPtr(y0 + dy) + x0;
+            const float *gx1 = grad.gx.rowPtr(y0 + dy + 1) + x0;
+            const float *gy0 = grad.gy.rowPtr(y0 + dy) + x0;
+            const float *gy1 = grad.gy.rowPtr(y0 + dy + 1) + x0;
+            for (int dx = 0; dx <= 2 * r; ++dx, ++idx) {
+                iv[idx] = w00 * p0[dx] + w10 * p0[dx + 1] +
+                          w01 * p1[dx] + w11 * p1[dx + 1];
+                const double gx = w00 * gx0[dx] + w10 * gx0[dx + 1] +
+                                  w01 * gx1[dx] + w11 * gx1[dx + 1];
+                const double gy = w00 * gy0[dx] + w10 * gy0[dx + 1] +
+                                  w01 * gy1[dx] + w11 * gy1[dx + 1];
+                ix[idx] = gx;
+                iy[idx] = gy;
+                g(0, 0) += gx * gx;
+                g(0, 1) += gx * gy;
+                g(1, 1) += gy * gy;
+            }
         }
     }
     g(1, 0) = g(0, 1);
@@ -96,17 +113,28 @@ trackAtLevel(const ImageU8 &prev, const Gradients &grad,
 
         Vec2 b;
         double res = 0.0;
-        idx = 0;
-        for (int dy = -r; dy <= r; ++dy) {
-            const uint8_t *r0 = next.rowPtr(ny0 + dy) + nx0 - r;
-            const uint8_t *r1 = next.rowPtr(ny0 + dy + 1) + nx0 - r;
-            for (int dx = 0; dx <= 2 * r; ++dx, ++idx) {
-                double sample = q00 * r0[dx] + q10 * r0[dx + 1] +
-                                q01 * r1[dx] + q11 * r1[dx + 1];
-                double dI = sample - iv[idx];
-                b[0] += dI * ix[idx];
-                b[1] += dI * iy[idx];
-                res += std::abs(dI);
+        if (simd) {
+#if defined(EDX_HAVE_AVX2)
+            const double q[4] = {q00, q10, q01, q11};
+            double bs[2];
+            avx2::lkResidual(next.data(), next.width(), nx0 - r, ny0 - r,
+                             2 * r + 1, q, iv, ix, iy, bs, &res);
+            b[0] = bs[0];
+            b[1] = bs[1];
+#endif
+        } else {
+            int idx = 0;
+            for (int dy = -r; dy <= r; ++dy) {
+                const uint8_t *r0 = next.rowPtr(ny0 + dy) + nx0 - r;
+                const uint8_t *r1 = next.rowPtr(ny0 + dy + 1) + nx0 - r;
+                for (int dx = 0; dx <= 2 * r; ++dx, ++idx) {
+                    double sample = q00 * r0[dx] + q10 * r0[dx + 1] +
+                                    q01 * r1[dx] + q11 * r1[dx + 1];
+                    double dI = sample - iv[idx];
+                    b[0] += dI * ix[idx];
+                    b[1] += dI * iy[idx];
+                    res += std::abs(dI);
+                }
             }
         }
         residual_out = res / n;
@@ -119,12 +147,18 @@ trackAtLevel(const ImageU8 &prev, const Gradients &grad,
     return next.containsWithBorder(nx, ny, r + 2);
 }
 
+/**
+ * Tracks every point coarse to fine. @p allow_simd = false pins the
+ * scalar window loops (the reference oracle); otherwise the active
+ * SIMD tier picks them.
+ */
 void
 trackAll(const Pyramid &prev, const std::vector<Gradients> &prev_grads,
          const Pyramid &next, const std::vector<KeyPoint> &prev_pts,
          const FlowConfig &cfg, FlowScratch &scratch,
-         std::vector<TemporalMatch> &out)
+         std::vector<TemporalMatch> &out, bool allow_simd)
 {
+    const bool simd = allow_simd && simdTierIsAvx2();
     out.clear();
     const int levels =
         std::min({cfg.pyramid_levels, prev.levels(), next.levels(),
@@ -145,7 +179,7 @@ trackAll(const Pyramid &prev, const std::vector<Gradients> &prev_grads,
             double cx = nx, cy = ny;
             ok = trackAtLevel(prev.level(l), prev_grads[l],
                               next.level(l), px, py, cx, cy, cfg,
-                              scratch, residual);
+                              scratch, residual, simd);
             if (ok) {
                 nx = cx;
                 ny = cy;
@@ -179,7 +213,7 @@ trackLucasKanadeInto(const Pyramid &prev,
                      const FlowConfig &cfg, FlowScratch &scratch,
                      std::vector<TemporalMatch> &out)
 {
-    trackAll(prev, prev_grads, next, prev_pts, cfg, scratch, out);
+    trackAll(prev, prev_grads, next, prev_pts, cfg, scratch, out, true);
 }
 
 std::vector<TemporalMatch>
@@ -196,7 +230,7 @@ trackLucasKanade(const Pyramid &prev, const Pyramid &next,
                             : centralDiffGradients(prev.level(l)));
     FlowScratch scratch;
     std::vector<TemporalMatch> out;
-    trackAll(prev, grads, next, prev_pts, cfg, scratch, out);
+    trackAll(prev, grads, next, prev_pts, cfg, scratch, out, true);
     return out;
 }
 
@@ -215,7 +249,7 @@ trackLucasKanadeReference(const Pyramid &prev, const Pyramid &next,
                 : centralDiffGradientsReference(prev.level(l)));
     FlowScratch scratch;
     std::vector<TemporalMatch> out;
-    trackAll(prev, grads, next, prev_pts, cfg, scratch, out);
+    trackAll(prev, grads, next, prev_pts, cfg, scratch, out, false);
     return out;
 }
 

@@ -13,9 +13,11 @@
  * mirroring the accelerator's DC stage, which streams whole-image
  * derivatives, and letting the frontend workspace cache them across
  * features, iterations and frames. trackLucasKanadeInto() is the
- * zero-alloc form over caller-cached gradients;
- * trackLucasKanadeReference() recomputes everything per call through
- * the scalar reference kernels (golden-tested bit-exact).
+ * zero-alloc form over caller-cached gradients; its window loops run
+ * 4 samples per step on the AVX2 tier, bit-identical to the scalar
+ * loops. trackLucasKanadeReference() recomputes everything per call
+ * through the scalar reference kernels and never dispatches to a SIMD
+ * tier, so it is the oracle every tier is golden-tested against.
  */
 #pragma once
 
@@ -47,9 +49,17 @@ struct FlowConfig
     bool scharr_gradients = false;
 };
 
-/** Reusable per-window buffers of the LK tracker. */
+/**
+ * Reusable per-window buffers of the LK tracker. Each holds the
+ * (2r+1)^2 window plus kPad entries, so the AVX2 tier's 4-lane loads
+ * and stores of the last window row stay inside the buffer on every
+ * tier (the sizes, and so the zero-alloc steady state, do not depend
+ * on the tier).
+ */
 struct FlowScratch
 {
+    static constexpr int kPad = 3;
+
     std::vector<double> iv; //!< template window intensities
     std::vector<double> ix; //!< template window x-gradients
     std::vector<double> iy; //!< template window y-gradients

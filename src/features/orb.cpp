@@ -1,44 +1,49 @@
 #include "features/orb.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
+#include "features/fast_avx2.hpp"
+#include "math/cpu_features.hpp"
 #include "math/rng.hpp"
 
 namespace edx {
 
 namespace {
 
-/** One BRIEF comparison: sample point pair inside the patch. */
-struct PointPair
+/**
+ * The fixed 256-pair sampling pattern, stored SoA (pair b compares
+ * (ax[b], ay[b]) against (bx[b], by[b])) so the AVX2 tier loads 8
+ * pairs per step. Pairs are drawn once from an isotropic Gaussian
+ * (sigma = patch_radius / 2) with a deterministic seed, mirroring the
+ * learned-but-fixed pattern that ORB ships.
+ */
+struct BriefPattern
 {
-    float ax, ay, bx, by;
+    alignas(32) float ax[256];
+    alignas(32) float ay[256];
+    alignas(32) float bx[256];
+    alignas(32) float by[256];
 };
 
-/**
- * The fixed 256-pair sampling pattern. Pairs are drawn once from an
- * isotropic Gaussian (sigma = patch_radius / 2) with a deterministic
- * seed, mirroring the learned-but-fixed pattern that ORB ships.
- */
-const std::vector<PointPair> &
+const BriefPattern &
 briefPattern()
 {
-    static const std::vector<PointPair> pattern = [] {
-        std::vector<PointPair> p;
-        p.reserve(256);
+    static const BriefPattern pattern = [] {
+        BriefPattern p;
         Rng rng(0x04b1d); // fixed pattern seed
         const double sigma = kOrbPatchRadius / 2.0;
-        auto clamped = [&](double v) {
-            return std::clamp(v, -double(kOrbPatchRadius - 1),
-                              double(kOrbPatchRadius - 1));
+        auto draw = [&] {
+            return static_cast<float>(std::clamp(
+                rng.gaussian(0, sigma), -double(kOrbPatchRadius - 1),
+                double(kOrbPatchRadius - 1)));
         };
         for (int i = 0; i < 256; ++i) {
-            PointPair pp;
-            pp.ax = static_cast<float>(clamped(rng.gaussian(0, sigma)));
-            pp.ay = static_cast<float>(clamped(rng.gaussian(0, sigma)));
-            pp.bx = static_cast<float>(clamped(rng.gaussian(0, sigma)));
-            pp.by = static_cast<float>(clamped(rng.gaussian(0, sigma)));
-            p.push_back(pp);
+            p.ax[i] = draw();
+            p.ay[i] = draw();
+            p.bx[i] = draw();
+            p.by[i] = draw();
         }
         return p;
     }();
@@ -174,14 +179,25 @@ computeOrbDescriptorsInto(const ImageU8 &img, std::vector<KeyPoint> &kps,
         const bool interior =
             img.containsWithBorder(kp.x, kp.y, kOrbFastBorder);
 
+#if defined(EDX_HAVE_AVX2)
+        if (interior && simdTierIsAvx2()) {
+            // x86 is little-endian: byte k of the words holds bits
+            // 8k .. 8k+7, the layout orbBriefBits writes.
+            avx2::orbBriefBits(img.data(), img.width(), kp.x, kp.y, ca,
+                               sa, pattern.ax, pattern.ay, pattern.bx,
+                               pattern.by,
+                               reinterpret_cast<unsigned char *>(
+                                   out[i].bits.data()));
+            continue;
+        }
+#endif
         Descriptor d;
         for (int b = 0; b < 256; ++b) {
-            const PointPair &pp = pattern[b];
             // Rotate the sampling pair by the patch orientation.
-            float ax = ca * pp.ax - sa * pp.ay + kp.x;
-            float ay = sa * pp.ax + ca * pp.ay + kp.y;
-            float bx = ca * pp.bx - sa * pp.by + kp.x;
-            float by = sa * pp.bx + ca * pp.by + kp.y;
+            float ax = ca * pattern.ax[b] - sa * pattern.ay[b] + kp.x;
+            float ay = sa * pattern.ax[b] + ca * pattern.ay[b] + kp.y;
+            float bx = ca * pattern.bx[b] - sa * pattern.by[b] + kp.x;
+            float by = sa * pattern.bx[b] + ca * pattern.by[b] + kp.y;
             double va, vb;
             if (interior) {
                 va = sampleBilinearFast(img, ax, ay);
@@ -223,11 +239,10 @@ computeOrbDescriptorsReference(const ImageU8 &img,
 
         Descriptor d;
         for (int b = 0; b < 256; ++b) {
-            const PointPair &pp = pattern[b];
-            float ax = ca * pp.ax - sa * pp.ay + kp.x;
-            float ay = sa * pp.ax + ca * pp.ay + kp.y;
-            float bx = ca * pp.bx - sa * pp.by + kp.x;
-            float by = sa * pp.bx + ca * pp.by + kp.y;
+            float ax = ca * pattern.ax[b] - sa * pattern.ay[b] + kp.x;
+            float ay = sa * pattern.ax[b] + ca * pattern.ay[b] + kp.y;
+            float bx = ca * pattern.bx[b] - sa * pattern.by[b] + kp.x;
+            float by = sa * pattern.bx[b] + ca * pattern.by[b] + kp.y;
             double va = img.sampleBilinear(ax, ay);
             double vb = img.sampleBilinear(bx, by);
             if (va < vb)

@@ -11,8 +11,11 @@
  * computeOrbDescriptorsInto() is the workspace form with a raw-pointer
  * interior fast path (row-pointer moment accumulation over precomputed
  * circle extents; unclamped bilinear taps for points far enough from
- * the border). computeOrbDescriptorsReference() retains the scalar
- * clamped-sampling formulation; the two are bit-exact (golden-tested).
+ * the border); on the AVX2 tier its interior BRIEF sampling runs 8
+ * pairs per step (features/fast_avx2), bit-identical to the scalar
+ * loop. computeOrbDescriptorsReference() retains the scalar
+ * clamped-sampling formulation and never dispatches; the two are
+ * bit-exact on every tier (golden-tested).
  */
 #pragma once
 

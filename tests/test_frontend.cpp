@@ -13,6 +13,7 @@
 #include <new>
 
 #include "frontend/frontend.hpp"
+#include "math/cpu_features.hpp"
 #include "sim/dataset.hpp"
 
 // --- global allocation counter ------------------------------------------
@@ -360,6 +361,44 @@ TEST(Frontend, OptimizedPathMatchesReferencePath)
         // all-pairs sweep.
         EXPECT_LE(a.workload.stereo_candidates,
                   a.workload.stereo_candidates_allpairs);
+    }
+}
+
+TEST(Frontend, AvxAndSse2FrontendOutputsBitIdentical)
+{
+    // Every frontend kernel is bit-identical across SIMD tiers, so one
+    // multi-frame drone sequence must give the same key points, angles,
+    // descriptors, stereo and temporal matches under each tier. The
+    // AVX2 leg runs whenever the host and build support it, even under
+    // an EDX_SIMD_LEVEL=sse2 override.
+    const SimdTier top = detectedSimdTier();
+    if (top == SimdTier::kSse2)
+        GTEST_SKIP() << "no AVX2 tier on this host or build";
+    const SimdTier startup = activeSimdTier();
+    Dataset d(droneScene(5));
+    std::vector<DatasetFrame> frames;
+    for (int i = 0; i < d.frameCount(); ++i)
+        frames.push_back(d.frame(i));
+
+    auto run = [&](SimdTier tier) {
+        setSimdTier(tier);
+        VisionFrontend fe;
+        std::vector<FrontendOutput> outs;
+        for (const DatasetFrame &f : frames)
+            outs.push_back(fe.processFrame(f.stereo.left, f.stereo.right));
+        return outs;
+    };
+    const std::vector<FrontendOutput> sse2 = run(SimdTier::kSse2);
+    const std::vector<FrontendOutput> avx2 = run(top);
+    setSimdTier(startup);
+
+    ASSERT_EQ(sse2.size(), avx2.size());
+    for (size_t i = 0; i < sse2.size(); ++i) {
+        SCOPED_TRACE("frame " + std::to_string(i));
+        EXPECT_GT(sse2[i].descriptors.size(), 20u);
+        if (i > 0)
+            EXPECT_GT(sse2[i].temporal.size(), 0u);
+        expectOutputsIdentical(sse2[i], avx2[i]);
     }
 }
 

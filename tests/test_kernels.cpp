@@ -11,6 +11,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 
 #include "features/fast.hpp"
@@ -235,39 +236,67 @@ TEST(FastGolden, ScratchReuseIsCleanAcrossImages)
 
 TEST(OrbGolden, DescriptorsAndAnglesMatchReference)
 {
-    ImageU8 img = noisyImage(320, 240, 31, 40);
-    ImageU8 blurred = gaussianBlur(img);
-    FastConfig fcfg;
-    fcfg.threshold = 14;
-    std::vector<KeyPoint> kps = detectFast(img, fcfg);
-    ASSERT_GT(kps.size(), 20u);
+    forEachSimdTier([&] {
+        ImageU8 img = noisyImage(320, 240, 31, 40);
+        ImageU8 blurred = gaussianBlur(img);
+        FastConfig fcfg;
+        fcfg.threshold = 14;
+        std::vector<KeyPoint> kps = detectFast(img, fcfg);
+        ASSERT_GT(kps.size(), 20u);
 
-    // Stress both sampling paths: interior fast path and the clamped
-    // slow path inside the [patch, fast-border) ring.
-    kps.push_back({17.0f, 17.0f, 1.0f, 0.0f});
-    kps.push_back({static_cast<float>(img.width() - 17),
-                   static_cast<float>(img.height() - 17), 1.0f, 0.0f});
-    kps.push_back({20.5f, 100.2f, 1.0f, 0.0f});
-    kps.push_back({5.0f, 5.0f, 1.0f, 0.0f}); // border: zero descriptor
+        // Stress both sampling paths: interior fast path and the
+        // clamped slow path inside the [patch, fast-border) ring.
+        kps.push_back({17.0f, 17.0f, 1.0f, 0.0f});
+        kps.push_back({static_cast<float>(img.width() - 17),
+                       static_cast<float>(img.height() - 17), 1.0f,
+                       0.0f});
+        kps.push_back({20.5f, 100.2f, 1.0f, 0.0f});
+        kps.push_back({5.0f, 5.0f, 1.0f, 0.0f}); // border: zero descriptor
 
-    std::vector<KeyPoint> kps_ref = kps;
-    std::vector<Descriptor> fast = computeOrbDescriptors(blurred, kps);
-    std::vector<Descriptor> ref =
-        computeOrbDescriptorsReference(blurred, kps_ref);
-    ASSERT_EQ(fast.size(), ref.size());
-    for (size_t i = 0; i < fast.size(); ++i)
-        EXPECT_EQ(fast[i], ref[i]) << "descriptor " << i;
-    expectKeypointsIdentical(kps, kps_ref); // written-back angles
+        std::vector<KeyPoint> kps_ref = kps;
+        std::vector<Descriptor> fast =
+            computeOrbDescriptors(blurred, kps);
+        std::vector<Descriptor> ref =
+            computeOrbDescriptorsReference(blurred, kps_ref);
+        ASSERT_EQ(fast.size(), ref.size());
+        for (size_t i = 0; i < fast.size(); ++i)
+            EXPECT_EQ(fast[i], ref[i]) << "descriptor " << i;
+        expectKeypointsIdentical(kps, kps_ref); // written-back angles
+    });
+}
+
+TEST(OrbGolden, DenseGridOnRawNoiseMatchesReference)
+{
+    // Unblurred noise has steep intensity slopes, so a rounding change
+    // in a rotated tap coordinate moves its sample enough to flip some
+    // of the ~900k comparisons of this dense sub-pixel grid.
+    ImageU8 img = noisyImage(320, 240, 33, 60);
+    std::vector<KeyPoint> kps;
+    for (float y = 21.3f; y < 219.0f; y += 3.7f)
+        for (float x = 21.6f; x < 299.0f; x += 3.1f)
+            kps.push_back({x, y, 1.0f, 0.0f});
+    forEachSimdTier([&] {
+        std::vector<KeyPoint> a = kps, b = kps;
+        std::vector<Descriptor> fast = computeOrbDescriptors(img, a);
+        std::vector<Descriptor> ref =
+            computeOrbDescriptorsReference(img, b);
+        ASSERT_EQ(fast.size(), ref.size());
+        for (size_t i = 0; i < fast.size(); ++i)
+            EXPECT_EQ(fast[i], ref[i]) << "descriptor " << i;
+        expectKeypointsIdentical(a, b);
+    });
 }
 
 TEST(OrbGolden, OrientationMatchesReferenceNearBorders)
 {
-    ImageU8 img = noisyImage(64, 64, 32, 6);
-    for (auto [x, y] : {std::pair{32.0f, 32.0f}, {16.0f, 16.0f},
-                        {8.0f, 40.0f}, {60.0f, 60.0f}})
-        EXPECT_EQ(orbOrientation(img, x, y),
-                  orbOrientationReference(img, x, y))
-            << "at " << x << "," << y;
+    forEachSimdTier([&] {
+        ImageU8 img = noisyImage(64, 64, 32, 6);
+        for (auto [x, y] : {std::pair{32.0f, 32.0f}, {16.0f, 16.0f},
+                            {8.0f, 40.0f}, {60.0f, 60.0f}})
+            EXPECT_EQ(orbOrientation(img, x, y),
+                      orbOrientationReference(img, x, y))
+                << "at " << x << "," << y;
+    });
 }
 
 TEST(StereoGolden, BandedMatcherIsBitExactWithAllPairs)
@@ -361,53 +390,96 @@ TEST(StereoGolden, RefineMatchesReferenceIncludingBorders)
 
 TEST(LkGolden, TracksMatchReference)
 {
-    std::vector<std::pair<double, double>> pts;
-    Rng rng(91);
-    for (int i = 0; i < 12; ++i)
-        pts.push_back({rng.uniformInt(40, 270), rng.uniformInt(40, 200)});
-    ImageU8 prev(320, 240), next(320, 240);
-    Rng rp(92);
-    fillNoisyBackground(prev, 100, 6, rp);
-    uint32_t tex = 5000;
-    for (auto [x, y] : pts)
-        drawTexturedPatch(prev, x, y, 8, tex++, 160);
-    Rng rn(93);
-    fillNoisyBackground(next, 100, 6, rn);
-    tex = 5000;
-    for (auto [x, y] : pts)
-        drawTexturedPatch(next, x + 5, y - 2, 8, tex++, 160);
+    forEachSimdTier([&] {
+        std::vector<std::pair<double, double>> pts;
+        Rng rng(91);
+        for (int i = 0; i < 12; ++i)
+            pts.push_back(
+                {rng.uniformInt(40, 270), rng.uniformInt(40, 200)});
+        ImageU8 prev(320, 240), next(320, 240);
+        Rng rp(92);
+        fillNoisyBackground(prev, 100, 6, rp);
+        uint32_t tex = 5000;
+        for (auto [x, y] : pts)
+            drawTexturedPatch(prev, x, y, 8, tex++, 160);
+        Rng rn(93);
+        fillNoisyBackground(next, 100, 6, rn);
+        tex = 5000;
+        for (auto [x, y] : pts)
+            drawTexturedPatch(next, x + 5, y - 2, 8, tex++, 160);
 
-    std::vector<KeyPoint> kps;
-    for (auto [x, y] : pts)
-        kps.push_back({static_cast<float>(x), static_cast<float>(y), 1, 0});
+        std::vector<KeyPoint> kps;
+        for (auto [x, y] : pts)
+            kps.push_back(
+                {static_cast<float>(x), static_cast<float>(y), 1, 0});
 
-    Pyramid pp(prev, 3), np(next, 3);
-    auto fast = trackLucasKanade(pp, np, kps);
-    auto ref = trackLucasKanadeReference(pp, np, kps);
-    ASSERT_GT(fast.size(), 6u);
-    ASSERT_EQ(fast.size(), ref.size());
-    for (size_t i = 0; i < fast.size(); ++i) {
-        EXPECT_EQ(fast[i].prev_index, ref[i].prev_index);
-        EXPECT_EQ(fast[i].x, ref[i].x);
-        EXPECT_EQ(fast[i].y, ref[i].y);
-        EXPECT_EQ(fast[i].residual, ref[i].residual);
-    }
+        Pyramid pp(prev, 3), np(next, 3);
+        auto fast = trackLucasKanade(pp, np, kps);
+        auto ref = trackLucasKanadeReference(pp, np, kps);
+        ASSERT_GT(fast.size(), 6u);
+        ASSERT_EQ(fast.size(), ref.size());
+        for (size_t i = 0; i < fast.size(); ++i) {
+            EXPECT_EQ(fast[i].prev_index, ref[i].prev_index);
+            EXPECT_EQ(fast[i].x, ref[i].x);
+            EXPECT_EQ(fast[i].y, ref[i].y);
+            EXPECT_EQ(fast[i].residual, ref[i].residual);
+        }
+    });
 }
 
 TEST(LkGolden, ScharrVariantMatchesReference)
 {
-    ImageU8 prev = noisyImage(160, 120, 94, 8);
-    ImageU8 next = noisyImage(160, 120, 94, 8);
+    forEachSimdTier([&] {
+        ImageU8 prev = noisyImage(160, 120, 94, 8);
+        ImageU8 next = noisyImage(160, 120, 94, 8);
+        std::vector<KeyPoint> kps = detectFast(prev);
+        Pyramid pp(prev, 3), np(next, 3);
+        FlowConfig cfg;
+        cfg.scharr_gradients = true;
+        auto fast = trackLucasKanade(pp, np, kps, cfg);
+        auto ref = trackLucasKanadeReference(pp, np, kps, cfg);
+        ASSERT_EQ(fast.size(), ref.size());
+        for (size_t i = 0; i < fast.size(); ++i) {
+            EXPECT_EQ(fast[i].x, ref[i].x);
+            EXPECT_EQ(fast[i].y, ref[i].y);
+        }
+    });
+}
+
+TEST(LkGolden, WindowRadiiAndSubpixelMotionMatchReference)
+{
+    // Window widths 5, 9 and 15 leave 1 or 3 lanes in each row's last
+    // 4-lane step; the sub-pixel shift keeps every bilinear weight
+    // nonzero. Both gradient stencils.
+    ImageU8 prev = noisyImage(200, 160, 95, 30);
+    ImageU8 next(200, 160);
+    for (int y = 0; y < next.height(); ++y)
+        for (int x = 0; x < next.width(); ++x)
+            next.at(x, y) = static_cast<uint8_t>(std::lround(
+                prev.sampleBilinear(x - 1.37, y + 0.61)));
     std::vector<KeyPoint> kps = detectFast(prev);
+    ASSERT_GT(kps.size(), 10u);
     Pyramid pp(prev, 3), np(next, 3);
-    FlowConfig cfg;
-    cfg.scharr_gradients = true;
-    auto fast = trackLucasKanade(pp, np, kps, cfg);
-    auto ref = trackLucasKanadeReference(pp, np, kps, cfg);
-    ASSERT_EQ(fast.size(), ref.size());
-    for (size_t i = 0; i < fast.size(); ++i) {
-        EXPECT_EQ(fast[i].x, ref[i].x);
-        EXPECT_EQ(fast[i].y, ref[i].y);
+    for (int radius : {2, 4, 7}) {
+        for (bool scharr : {false, true}) {
+            FlowConfig cfg;
+            cfg.window_radius = radius;
+            cfg.scharr_gradients = scharr;
+            forEachSimdTier([&] {
+                auto fast = trackLucasKanade(pp, np, kps, cfg);
+                auto ref = trackLucasKanadeReference(pp, np, kps, cfg);
+                SCOPED_TRACE(testing::Message() << "radius " << radius
+                                                << " scharr " << scharr);
+                ASSERT_GT(fast.size(), 5u);
+                ASSERT_EQ(fast.size(), ref.size());
+                for (size_t i = 0; i < fast.size(); ++i) {
+                    EXPECT_EQ(fast[i].prev_index, ref[i].prev_index);
+                    EXPECT_EQ(fast[i].x, ref[i].x);
+                    EXPECT_EQ(fast[i].y, ref[i].y);
+                    EXPECT_EQ(fast[i].residual, ref[i].residual);
+                }
+            });
+        }
     }
 }
 

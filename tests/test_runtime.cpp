@@ -1481,10 +1481,17 @@ checkQosShedding(bool gang)
     TestRun r = makeRun(SceneType::IndoorKnown, kFrames);
     Dataset d(r.dcfg);
 
+    // Rendered up front: rendering inside the submit loop would cap the
+    // offered load at the renderer's rate, and a fast enough pool
+    // would then never need to shed.
+    std::vector<FrameInput> inputs;
+    for (int i = 0; i < kFrames; ++i)
+        inputs.push_back(inputFor(d, i));
+
     auto ref = makeLocalizer(r, d);
     std::vector<LocalizationResult> expected;
     for (int i = 0; i < kFrames; ++i)
-        expected.push_back(ref->processFrame(inputFor(d, i)));
+        expected.push_back(ref->processFrame(inputs[i]));
 
     PoolConfig pcfg;
     pcfg.workers = 2;
@@ -1504,9 +1511,9 @@ checkQosShedding(bool gang)
             makeLocalizer(r, d), SessionConfig{QosClass::BestEffort}));
 
     for (int i = 0; i < kFrames; ++i) {
-        ASSERT_TRUE(pool.submit(sc, inputFor(d, i)));
+        ASSERT_TRUE(pool.submit(sc, inputs[i]));
         for (int sid : be)
-            ASSERT_TRUE(pool.submit(sid, inputFor(d, i)));
+            ASSERT_TRUE(pool.submit(sid, inputs[i]));
     }
     pool.drain();
 
@@ -1534,7 +1541,7 @@ checkQosShedding(bool gang)
             EXPECT_GT(res.frame_index, prev); // order preserved
             prev = res.frame_index;
             LocalizationResult cmp =
-                solo->processFrame(inputFor(d, res.frame_index));
+                solo->processFrame(inputs[res.frame_index]);
             expectPosesIdentical(cmp, res, res.frame_index);
         }
     }
